@@ -1,6 +1,7 @@
 """Microbenchmarks of the substrates (throughput numbers for README)."""
 
 import numpy as np
+import pytest
 
 from repro.bits import Bits
 from repro.functions import LineParams, evaluate_line, sample_input
@@ -84,9 +85,11 @@ def bench_lazy_oracle_query(benchmark):
     benchmark(op)
 
 
-def bench_table_oracle_sample(benchmark):
+# n=19 is the largest table the Lemma 3.3 / A.7 Monte-Carlo trials draw.
+@pytest.mark.parametrize("n", [12, 19])
+def bench_table_oracle_sample(benchmark, n):
     rng = np.random.default_rng(0)
-    benchmark(TableOracle.sample, 12, 12, rng)
+    benchmark(TableOracle.sample, n, n, rng)
 
 
 def bench_line_reference_eval(benchmark):

@@ -1973,7 +1973,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     brun_p.add_argument(
         "--suite", choices=("quick", "full"), default="quick",
-        help="quick = the sub-second tier (default); full = every "
+        help="quick = the fast curated tier (default); full = every "
         "registered experiment",
     )
     brun_p.add_argument(

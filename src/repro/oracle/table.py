@@ -8,6 +8,11 @@ also supports what the Section 3 proof does on paper: counting the number
 of possible oracles (``2^{n_out * 2^n_in}``, the ``2^{n 2^n}`` term in
 Claim 3.7's message count) and serializing the full table -- the "add the
 entire RO to our encoding" step of the encoders.
+
+The answers live in one numpy array: ``uint64`` for answers of at most
+:data:`_NARROW_BITS` bits (the RNG's draw, kept as drawn), ``object``
+holding Python ints for wider ones.  Every accessor hands out plain
+Python ints.
 """
 
 from __future__ import annotations
@@ -19,9 +24,9 @@ import numpy as np
 from repro.bits import BitReader, BitWriter, Bits
 from repro.oracle.base import Oracle
 
-#: Batch sizes below this answer faster through plain list indexing
-#: than through building a numpy index array.
-_NUMPY_BATCH_MIN = 32
+#: Widest answers drawn in one ``rng.integers`` call and stored as
+#: ``uint64``; wider answers are assembled from 32-bit limbs.
+_NARROW_BITS = 62
 
 __all__ = ["TableOracle"]
 
@@ -41,15 +46,32 @@ class TableOracle(Oracle):
             raise ValueError(
                 f"table has {len(table)} entries, domain needs {expected}"
             )
-        limit = 1 << n_out
-        tbl = [int(v) for v in table]
-        for v in tbl:
-            if not 0 <= v < limit:
-                raise ValueError(f"table entry {v} out of range for {n_out} bits")
-        self._table = tbl
-        # Lazily built numpy copy for the batch gather path (answers
-        # wider than 62 bits do not fit uint64 and stay on lists).
-        self._np_table: np.ndarray | None = None
+        if (
+            isinstance(table, np.ndarray)
+            and table.dtype == np.uint64
+            and table.ndim == 1
+        ):
+            low, top = 0, int(table.max())
+        else:
+            table = [int(v) for v in table]
+            low, top = min(table), max(table)
+        if low < 0 or top >> n_out:
+            bad = low if low < 0 else top
+            raise ValueError(f"table entry {bad} out of range for {n_out} bits")
+        # A copy: the oracle is a fixed function, whatever the caller
+        # does to its array afterwards.
+        self._table = np.array(
+            table, dtype=np.uint64 if n_out <= _NARROW_BITS else object
+        )
+
+    @classmethod
+    def _of(cls, n_in: int, n_out: int, table: np.ndarray) -> "TableOracle":
+        """Wrap an array already known to be in range (no check, no copy)."""
+        self = object.__new__(cls)
+        self._n_in = n_in
+        self._n_out = n_out
+        self._table = table
+        return self
 
     # ------------------------------------------------------------------
     # Construction
@@ -60,9 +82,9 @@ class TableOracle(Oracle):
     ) -> "TableOracle":
         """Draw a uniformly random oracle (one sample of the paper's RO)."""
         size = 1 << n_in
-        if n_out <= 62:
+        if n_out <= _NARROW_BITS:
             values = rng.integers(0, 1 << n_out, size=size, dtype=np.uint64)
-            return cls(n_in, n_out, values.tolist())
+            return cls._of(n_in, n_out, values)
         # Wide outputs: assemble from 32-bit limbs.
         limbs = (n_out + 31) // 32
         table = []
@@ -71,25 +93,16 @@ class TableOracle(Oracle):
             for _ in range(limbs):
                 acc = (acc << 32) | int(rng.integers(0, 1 << 32, dtype=np.uint64))
             table.append(acc & ((1 << n_out) - 1))
-        return cls(n_in, n_out, table)
+        return cls._of(n_in, n_out, np.array(table, dtype=object))
 
     def _evaluate(self, x: Bits) -> Bits:
-        return Bits(self._table[x.value], self._n_out)
+        return Bits._make(self._table.item(x.value), self._n_out)
 
     def _evaluate_batch(self, xs: Sequence[Bits]) -> list[Bits]:
+        idx = np.fromiter((x.value for x in xs), dtype=np.int64, count=len(xs))
         n_out = self._n_out
-        if n_out <= 62 and len(xs) >= _NUMPY_BATCH_MIN:
-            if self._np_table is None:
-                self._np_table = np.asarray(self._table, dtype=np.uint64)
-            idx = np.fromiter(
-                (x.value for x in xs), dtype=np.int64, count=len(xs)
-            )
-            values = self._np_table[idx].tolist()
-        else:
-            table = self._table
-            values = [table[x.value] for x in xs]
         make = Bits._make  # entries validated against n_out at init
-        return [make(v, n_out) for v in values]
+        return [make(v, n_out) for v in self._table[idx].tolist()]
 
     # ------------------------------------------------------------------
     # Proof-facing operations
@@ -97,21 +110,21 @@ class TableOracle(Oracle):
     @property
     def table(self) -> tuple[int, ...]:
         """The full answer table (index = query value)."""
-        return tuple(self._table)
+        return tuple(self._table.tolist())
 
     def entries(self) -> Iterator[tuple[Bits, Bits]]:
         """Iterate over all ``(query, answer)`` pairs."""
-        for i, v in enumerate(self._table):
+        for i, v in enumerate(self._table.tolist()):
             yield Bits(i, self._n_in), Bits(v, self._n_out)
 
     def with_overrides(self, overrides: dict[Bits, Bits]) -> "TableOracle":
         """A new table oracle with the given entries rewired."""
-        table = list(self._table)
+        table = self._table.copy()
         for query, answer in overrides.items():
             if len(query) != self._n_in or len(answer) != self._n_out:
                 raise ValueError("override dimensions do not match oracle")
             table[query.value] = answer.value
-        return TableOracle(self._n_in, self._n_out, table)
+        return TableOracle._of(self._n_in, self._n_out, table)
 
     def serialize(self) -> Bits:
         """The table as one bit string of length ``n_out * 2^n_in``.
@@ -120,7 +133,7 @@ class TableOracle(Oracle):
         Claim 3.7 / A.4 encoders.
         """
         w = BitWriter()
-        for v in self._table:
+        for v in self._table.tolist():
             w.write(v, self._n_out)
         return w.getvalue()
 
@@ -138,20 +151,18 @@ class TableOracle(Oracle):
         """``log2`` of the number of functions -- the paper's ``n·2^n``."""
         return n_out * (1 << n_in)
 
-    def __getstate__(self) -> dict:
-        """Pickle without the numpy mirror (recomputable, doubles payload)."""
-        state = self.__dict__.copy()
-        state["_np_table"] = None
-        return state
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TableOracle):
             return NotImplemented
         return (
             self._n_in == other._n_in
             and self._n_out == other._n_out
-            and self._table == other._table
+            and np.array_equal(self._table, other._table)
         )
 
     def __hash__(self) -> int:
-        return hash((self._n_in, self._n_out, tuple(self._table)))
+        # The dtype follows n_out, so equal oracles hash the same bytes;
+        # an object array's bytes are pointers, so wide tables hash ints.
+        if self._table.dtype == object:
+            return hash((self._n_in, self._n_out, tuple(self._table.tolist())))
+        return hash((self._n_in, self._n_out, self._table.tobytes()))

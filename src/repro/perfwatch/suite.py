@@ -53,9 +53,10 @@ __all__ = [
     "suite_experiments",
 ]
 
-#: The quick tier: every experiment whose quick-scale run finishes in
-#: about a second, spanning every substrate (parameter tables, MPC
-#: protocols, the word-RAM interpreter, encoders, Monte-Carlo trials).
+#: The quick tier: experiments whose quick-scale run finishes in a second
+#: or two, spanning every substrate (parameter tables, MPC protocols, the
+#: word-RAM interpreter, encoders, Monte-Carlo trials), plus E-GUESS, the
+#: experiment that dominates ``run-all`` wall time.
 _QUICK = (
     "T1",
     "E-BOUND",
@@ -64,6 +65,7 @@ _QUICK = (
     "E-SIMLINE",
     "E-DECAY",
     "E-LINE",
+    "E-GUESS",
 )
 
 SUITES: dict[str, tuple[str, ...] | None] = {

@@ -1,5 +1,8 @@
 """Tests for the oracle substrate (lazy, table, patched, hash-backed)."""
 
+import hashlib
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -179,6 +182,85 @@ class TestTableOracle:
         c = TableOracle(1, 1, [1, 1])
         assert a == b and hash(a) == hash(b)
         assert a != c
+
+
+#: sha256 of ``TableOracle.sample(n, n_out, default_rng(seed)).serialize()``
+#: as a 0/1 string, computed before the table moved to numpy storage: the
+#: draw must stay byte-identical so every Monte-Carlo estimate does too.
+SAMPLE_DIGESTS = {
+    (4, 4, 0): "f58f500229fe43b5f459c483d61e788005d44e0c02a07197482b5f08144506a1",
+    (8, 8, 1): "44d3850ac5f8263fe7cf157d7df644ed9bdec0fc0b3f9648fc93e5632703cb1e",
+    (10, 62, 2): "94debd640460bcad5e39d58c80212e5c6d55747a302c41fc9e21041056ba72aa",
+    (12, 12, 3): "57e03892c36237c787f6e3ae09e633570c1a6a571d2928339ff6abc16927bbb7",
+    (5, 70, 5): "db32d8458035f3b4a12dd88a70f3d7b870da5c34df07487c892309e324dd3172",
+}
+
+
+class TestTableOracleStorage:
+    """The numpy-backed table keeps the list-backed table's contract."""
+
+    @pytest.mark.parametrize("n, n_out, seed", sorted(SAMPLE_DIGESTS))
+    def test_sample_stream_pinned(self, n, n_out, seed):
+        blob = TableOracle.sample(n, n_out, np.random.default_rng(seed)).serialize()
+        digest = hashlib.sha256(blob.to_str().encode()).hexdigest()
+        assert digest == SAMPLE_DIGESTS[(n, n_out, seed)]
+
+    def test_uint64_array_entry_out_of_range(self):
+        ok = np.array([0, 1, 2, 7], dtype=np.uint64)
+        assert TableOracle(2, 3, ok).table == (0, 1, 2, 7)
+        with pytest.raises(ValueError, match="out of range"):
+            TableOracle(2, 3, np.array([0, 1, 8, 2], dtype=np.uint64))
+
+    @pytest.mark.parametrize("n_out", [2, 70])
+    def test_list_entry_out_of_range(self, n_out):
+        with pytest.raises(ValueError, match="out of range"):
+            TableOracle(1, n_out, [0, -1])
+        with pytest.raises(ValueError, match="out of range"):
+            TableOracle(1, n_out, [1 << n_out, 0])
+
+    def test_constructor_copies_caller_array(self):
+        values = np.array([1, 2, 3, 4], dtype=np.uint64)
+        ro = TableOracle(2, 3, values)
+        values[0] = 7
+        assert ro.table == (1, 2, 3, 4)
+
+    @pytest.mark.parametrize("n_out", [8, 70])
+    def test_with_overrides_leaves_base_unchanged(self, n_out):
+        base = TableOracle.sample(6, n_out, np.random.default_rng(4))
+        before, h = base.table, hash(base)
+        patched = base.with_overrides(
+            {Bits(q, 6): Bits((1 << n_out) - 1 - base.table[q], n_out)
+             for q in (0, 17, 63)}
+        )
+        assert base.table == before and hash(base) == h
+        assert base == TableOracle(6, n_out, before)
+        assert patched != base
+        assert [patched.table[q] != before[q] for q in range(64)].count(True) == 3
+
+    @pytest.mark.parametrize("n_out", [8, 70])
+    def test_pickle_roundtrip_equal_and_hash_equal(self, n_out):
+        ro = TableOracle.sample(5, n_out, np.random.default_rng(6))
+        clone = pickle.loads(pickle.dumps(ro))
+        assert clone == ro and hash(clone) == hash(ro)
+        assert clone.query(Bits(9, 5)) == ro.query(Bits(9, 5))
+
+    @pytest.mark.parametrize("n_out", [8, 62, 63, 70])
+    def test_sampled_and_list_built_equal(self, n_out):
+        sampled = TableOracle.sample(4, n_out, np.random.default_rng(7))
+        built = TableOracle(4, n_out, list(sampled.table))
+        assert built == sampled and hash(built) == hash(sampled)
+        other = sampled.with_overrides({Bits(0, 4): Bits(sampled.table[0] ^ 1, n_out)})
+        assert other != sampled
+
+    @pytest.mark.parametrize("n_out", [8, 70])
+    def test_accessors_yield_python_ints(self, n_out):
+        ro = TableOracle.sample(3, n_out, np.random.default_rng(8))
+        assert all(type(v) is int for v in ro.table)
+        assert all(type(a.value) is int for _, a in ro.entries())
+        assert type(ro.query(Bits(5, 3)).value) is int
+        answers = ro.query_batch([Bits(q, 3) for q in range(8)])
+        assert all(type(a.value) is int for a in answers)
+        assert [a.value for a in answers] == list(ro.table)
 
 
 class TestPatchedOracle:
