@@ -185,8 +185,8 @@ class TestTableOracle:
 
 
 #: sha256 of ``TableOracle.sample(n, n_out, default_rng(seed)).serialize()``
-#: as a 0/1 string, computed before the table moved to numpy storage: the
-#: draw must stay byte-identical so every Monte-Carlo estimate does too.
+#: as a 0/1 string.  The draw must stay byte-identical across storage
+#: changes so that every Monte-Carlo estimate does too.
 SAMPLE_DIGESTS = {
     (4, 4, 0): "f58f500229fe43b5f459c483d61e788005d44e0c02a07197482b5f08144506a1",
     (8, 8, 1): "44d3850ac5f8263fe7cf157d7df644ed9bdec0fc0b3f9648fc93e5632703cb1e",
@@ -197,7 +197,7 @@ SAMPLE_DIGESTS = {
 
 
 class TestTableOracleStorage:
-    """The numpy-backed table keeps the list-backed table's contract."""
+    """Storage contract: range checks, no aliasing, Python ints out."""
 
     @pytest.mark.parametrize("n, n_out, seed", sorted(SAMPLE_DIGESTS))
     def test_sample_stream_pinned(self, n, n_out, seed):
