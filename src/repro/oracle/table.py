@@ -31,16 +31,20 @@ _NARROW_BITS = 62
 __all__ = ["TableOracle"]
 
 
+def _check_domain_size(n_in: int) -> None:
+    if n_in > 30:
+        raise ValueError(
+            f"table oracle over 2^{n_in} entries is impractical; "
+            "use LazyRandomOracle for large domains"
+        )
+
+
 class TableOracle(Oracle):
     """An oracle backed by an explicit table of ``2^n_in`` answers."""
 
     def __init__(self, n_in: int, n_out: int, table: Sequence[int]) -> None:
         super().__init__(n_in, n_out)
-        if n_in > 30:
-            raise ValueError(
-                f"table oracle over 2^{n_in} entries is impractical; "
-                "use LazyRandomOracle for large domains"
-            )
+        _check_domain_size(n_in)
         expected = 1 << n_in
         if len(table) != expected:
             raise ValueError(
@@ -66,10 +70,9 @@ class TableOracle(Oracle):
 
     @classmethod
     def _of(cls, n_in: int, n_out: int, table: np.ndarray) -> "TableOracle":
-        """Wrap an array already known to be in range (no check, no copy)."""
+        """Wrap an in-range array (dimensions checked; entries not; no copy)."""
         self = object.__new__(cls)
-        self._n_in = n_in
-        self._n_out = n_out
+        Oracle.__init__(self, n_in, n_out)
         self._table = table
         return self
 
@@ -81,6 +84,7 @@ class TableOracle(Oracle):
         cls, n_in: int, n_out: int, rng: np.random.Generator
     ) -> "TableOracle":
         """Draw a uniformly random oracle (one sample of the paper's RO)."""
+        _check_domain_size(n_in)
         size = 1 << n_in
         if n_out <= _NARROW_BITS:
             values = rng.integers(0, 1 << n_out, size=size, dtype=np.uint64)
@@ -161,8 +165,4 @@ class TableOracle(Oracle):
         )
 
     def __hash__(self) -> int:
-        # The dtype follows n_out, so equal oracles hash the same bytes;
-        # an object array's bytes are pointers, so wide tables hash ints.
-        if self._table.dtype == object:
-            return hash((self._n_in, self._n_out, tuple(self._table.tolist())))
-        return hash((self._n_in, self._n_out, self._table.tobytes()))
+        return hash((self._n_in, self._n_out, tuple(self._table.tolist())))

@@ -133,6 +133,13 @@ class TestTableOracle:
         with pytest.raises(ValueError):
             TableOracle(31, 4, [])
 
+    def test_sample_validates_dimensions(self):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="invalid oracle dimensions"):
+            TableOracle.sample(4, 0, rng)
+        with pytest.raises(ValueError, match="impractical"):
+            TableOracle.sample(31, 4, rng)
+
     def test_entries_iteration(self):
         ro = TableOracle(2, 3, [1, 2, 3, 4])
         pairs = list(ro.entries())
