@@ -1466,10 +1466,10 @@ def _add_backend_flag(parser: argparse.ArgumentParser) -> None:
         "--backend",
         choices=sorted(BACKENDS),
         default=None,
-        help="execution backend for the MPC round loop and the word-RAM "
-        "interpreter (default: REPRO_BACKEND env var, else python). "
-        "'fast' is observably identical -- same outputs, stats, faults, "
-        "and deterministic trace stream -- see docs/PERFORMANCE.md",
+        help="execution backend for the word-RAM interpreter (default: "
+        "REPRO_BACKEND env var, else python). 'fast' is observably "
+        "identical -- same outputs, stats, faults, and deterministic "
+        "trace stream -- see docs/PERFORMANCE.md",
     )
 
 

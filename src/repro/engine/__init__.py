@@ -1,80 +1,33 @@
-"""Execution backends for the hot loops.
+"""The ``fast`` backend: a compiled word-RAM core.
 
-The reference implementations -- :class:`repro.mpc.MPCSimulator` and the
-``if/elif`` word-RAM interpreter in :class:`repro.ram.RamMachine` -- are
-deliberately straight-line and auditable.  This package provides the
-``fast`` backend: a steady-state-memoizing MPC round engine
-(:mod:`repro.engine.fastsim`) and a closure/codegen-compiled RAM core
-(:mod:`repro.engine.fastram`), selected via ``--backend fast`` or
-``REPRO_BACKEND=fast``.
+The reference word-RAM interpreter -- the ``if/elif`` dispatch in
+:class:`repro.ram.RamMachine` -- is deliberately straight-line and
+auditable.  This package provides its ``fast`` alternative, a
+closure/codegen-compiled RAM core (:mod:`repro.engine.fastram`),
+selected via ``--backend fast`` or ``REPRO_BACKEND=fast``.  The MPC
+round engine has no second implementation: its steady-state memo is
+part of the one :class:`repro.mpc.MPCSimulator`.
 
 The contract is *observable equivalence*: a fast run produces the same
-outputs, the same ``MPCStats``/``ExecutionStats``, the same faults, and
--- when tracing -- the byte-identical deterministic record stream as the
+results, the same ``ExecutionStats``, the same faults, and -- when
+tracing -- the byte-identical deterministic record stream as the
 python backend (only wall-clock attrs differ, and those are excluded
-from the determinism fingerprint).  ``repro trace-diff`` and ``repro
-cost check --strict`` hold the contract down in CI.
-
-Protocol runners go through :func:`make_simulator` instead of naming a
-simulator class, so one ambient :func:`use_backend` scope switches every
-layer at once -- including :mod:`repro.parallel` pool workers, which
-inherit the choice through the ``REPRO_BACKEND`` environment variable.
+from the determinism fingerprint).  ``repro cost check --strict`` and
+the RAM equivalence tests hold the contract down in CI.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
-
-from repro.bits import Bits
 from repro.engine.backend import (
     BACKENDS,
     default_backend,
     resolve_backend,
     use_backend,
 )
-from repro.engine.fastsim import FastMPCSimulator
-from repro.mpc.machine import Machine
-from repro.mpc.model import MPCParams
-from repro.mpc.simulator import MPCSimulator
-from repro.mpc.tape import SharedTape
-from repro.oracle.base import Oracle
 
 __all__ = [
     "BACKENDS",
-    "FastMPCSimulator",
     "default_backend",
-    "make_simulator",
     "resolve_backend",
     "use_backend",
 ]
-
-
-def make_simulator(
-    params: MPCParams,
-    machines: Sequence[Machine],
-    *,
-    oracle: Oracle | None = None,
-    tape: SharedTape | None = None,
-    inbox_observer: Callable[[int, int, tuple[tuple[int, Bits], ...]], None]
-    | None = None,
-    backend: str | None = None,
-) -> MPCSimulator:
-    """Build the round engine for the resolved backend.
-
-    ``backend=None`` resolves the ambient choice (the CLI's
-    ``--backend`` scope, then ``REPRO_BACKEND``, then ``"python"``).
-    Both classes share one constructor signature and one observable
-    behavior; ``"fast"`` returns the memoizing subclass.
-    """
-    cls = (
-        FastMPCSimulator
-        if resolve_backend(backend) == "fast"
-        else MPCSimulator
-    )
-    return cls(
-        params,
-        machines,
-        oracle=oracle,
-        tape=tape,
-        inbox_observer=inbox_observer,
-    )

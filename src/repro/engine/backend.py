@@ -1,14 +1,15 @@
 """Execution-backend selection.
 
-Two backends exist for the hot loops (the MPC round engine and the
-word-RAM interpreter):
+Two backends exist for the word-RAM interpreter:
 
-* ``"python"`` -- the reference implementations, straight-line and
-  auditable (:class:`repro.mpc.MPCSimulator`, the ``if/elif`` dispatch
-  in :class:`repro.ram.RamMachine`);
-* ``"fast"`` -- the engines in :mod:`repro.engine`: a steady-state
-  memoizing MPC round loop and a closure-compiled RAM core, proven
-  observably identical by the trace-diff/cost-check gates.
+* ``"python"`` -- the reference implementation, the straight-line and
+  auditable ``if/elif`` dispatch in :class:`repro.ram.RamMachine`;
+* ``"fast"`` -- the closure/codegen-compiled RAM core in
+  :mod:`repro.engine.fastram`, proven observably identical by the RAM
+  equivalence tests and the cost-check gate.
+
+The MPC round engine is not switched: :class:`repro.mpc.MPCSimulator`
+is the only one, and its steady-state memo runs under either backend.
 
 Selection mirrors :func:`repro.parallel.use_jobs`: explicit argument
 beats the ambient :func:`use_backend` scope (the CLI's ``--backend``),

@@ -35,6 +35,33 @@ __all__ = ["MPCSimulator", "MPCResult"]
 
 
 @dataclass
+class _MemoEntry:
+    """One machine's last cached step, for the steady-state memo.
+
+    Machines are memoryless (Definition 2.1): state survives a round
+    only as self-messages, so an idle machine decodes and re-encodes the
+    same records every round.  A machine that declares
+    :attr:`~repro.mpc.machine.Machine.round_oblivious` computes a pure
+    function of its inbox at every round ``>= 1``, so when the same inbox
+    recurs :meth:`MPCSimulator.run` replays the cached output instead of
+    calling ``run_round``.  Only steps at round ``>= 1`` that made zero
+    oracle queries are cached: a querying step re-executes, so the query
+    transcript, the ``q`` budget and the ``oracle.query`` events stay
+    position for position identical.  The fields below are what the run
+    emits for the step -- routing, ``RoundStats`` edges, the
+    ``mpc.machine_step`` attributes -- so a replayed step is observably
+    the executed one; only its wall-clock ``dur`` differs.
+    """
+
+    incoming: tuple[tuple[int, Bits], ...]
+    incoming_bits: int
+    result: RoundOutput
+    sent_bits: int
+    sent_to: dict[str, int]
+    edges: tuple[tuple[int, int, int], ...]
+
+
+@dataclass
 class MPCResult:
     """Outcome of a simulation."""
 
@@ -119,6 +146,13 @@ class MPCSimulator:
         one closing ``mpc.run`` span.  Span hooks (scoped profilers)
         additionally see each machine's local computation as an
         ``mpc.machine_step`` window.
+
+        Steps of ``round_oblivious`` machines whose inbox repeats are
+        replayed from a per-machine memo instead of re-run (see
+        :class:`_MemoEntry`); outputs, stats, faults and the
+        deterministic trace stream are the same as re-running them, and
+        a replayed step's ``dur`` is the wall time of the replay.  Span
+        hooks turn replay off.
         """
         params = self._params
         if len(initial_memories) != params.m:
@@ -162,6 +196,12 @@ class MPCSimulator:
         tape = self._tape
         now = tracer.now
         emit = tracer.event
+        # The steady-state memo (see _MemoEntry).  Span hooks turn it
+        # off: scoped profilers must see every real step.
+        memoizable = [
+            not hooked and machine.round_oblivious for machine in machines
+        ]
+        memo: list[_MemoEntry | None] = [None] * m
 
         for round_k in range(params.max_rounds):
             round_span = (
@@ -179,65 +219,100 @@ class MPCSimulator:
 
             for i, machine in enumerate(machines):
                 incoming = tuple(inboxes[i])
-                incoming_bits = sum(len(p) for _, p in incoming)
-                if incoming_bits > s_bits:
-                    raise MemoryExceeded(
-                        f"machine {i} holds {incoming_bits} bits at round "
-                        f"{round_k}, local memory is s={s_bits}"
+                entry = memo[i]
+                if entry is not None and entry.incoming == incoming:
+                    # Replay: this inbox already passed the memory check
+                    # and these messages their validation.
+                    if observer is not None:
+                        observer(round_k, i, incoming)
+                    if traced:
+                        step_start = now()
+                    result = entry.result
+                    for dst, payload in result.messages.items():
+                        next_inboxes[dst].append((i, payload))
+                    incoming_bits = entry.incoming_bits
+                    sent_bits = entry.sent_bits
+                    sent_to = entry.sent_to
+                    step_edges = entry.edges
+                    step_queries = 0
+                    if traced:
+                        step_dur = now() - step_start
+                else:
+                    incoming_bits = sum(len(p) for _, p in incoming)
+                    if incoming_bits > s_bits:
+                        raise MemoryExceeded(
+                            f"machine {i} holds {incoming_bits} bits at round "
+                            f"{round_k}, local memory is s={s_bits}"
+                        )
+                    if observer is not None:
+                        observer(round_k, i, incoming)
+                    if oracle is not None:
+                        oracle.set_context(round=round_k, machine=i)
+                    ctx = RoundContext(
+                        round=round_k,
+                        machine_id=i,
+                        num_machines=m,
+                        incoming=incoming,
+                        oracle=oracle,
+                        tape=tape,
                     )
-                if observer is not None:
-                    observer(round_k, i, incoming)
-                if oracle is not None:
-                    oracle.set_context(round=round_k, machine=i)
-                ctx = RoundContext(
-                    round=round_k,
-                    machine_id=i,
-                    num_machines=m,
-                    incoming=incoming,
-                    oracle=oracle,
-                    tape=tape,
-                )
-                if traced:
-                    step_start = now()
-                    if hooked:
-                        with tracer.hook_scope("mpc.machine_step"):
+                    if traced:
+                        step_start = now()
+                        if hooked:
+                            with tracer.hook_scope("mpc.machine_step"):
+                                result = machine.run_round(ctx)
+                        else:
                             result = machine.run_round(ctx)
+                        step_dur = now() - step_start
                     else:
                         result = machine.run_round(ctx)
-                    step_dur = now() - step_start
-                else:
-                    result = machine.run_round(ctx)
-                if not isinstance(result, RoundOutput):
-                    raise ProtocolError(
-                        f"machine {i} returned {type(result).__name__}, "
-                        "expected RoundOutput"
+                    if not isinstance(result, RoundOutput):
+                        raise ProtocolError(
+                            f"machine {i} returned {type(result).__name__}, "
+                            "expected RoundOutput"
+                        )
+                    sent_bits = 0
+                    sent_to: dict[str, int] = {}
+                    step_edges: list[tuple[int, int, int]] = []
+                    for dst, payload in result.messages.items():
+                        if not 0 <= dst < m:
+                            raise ProtocolError(
+                                f"machine {i} sent a message to invalid "
+                                f"machine {dst}"
+                            )
+                        if not isinstance(payload, Bits):
+                            raise ProtocolError(
+                                f"machine {i} sent a non-Bits payload to {dst}"
+                            )
+                        next_inboxes[dst].append((i, payload))
+                        width = len(payload)
+                        step_edges.append((i, dst, width))
+                        sent_bits += width
+                        if traced:
+                            # str keys: a JSONL round-trip must reproduce
+                            # the in-memory attrs exactly (JSON has no int
+                            # keys); the analysis layer int()s them back.
+                            key = str(dst)
+                            sent_to[key] = sent_to.get(key, 0) + width
+                    step_queries = (
+                        oracle.queries_in_context() if oracle is not None else 0
                     )
+                    if memoizable[i] and round_k and not step_queries:
+                        memo[i] = _MemoEntry(
+                            incoming=incoming,
+                            incoming_bits=incoming_bits,
+                            result=result,
+                            sent_bits=sent_bits,
+                            sent_to=sent_to,
+                            edges=tuple(step_edges),
+                        )
+                    else:
+                        memo[i] = None
                 if incoming or result.messages or result.output is not None:
                     active += 1
-                sent_messages = 0
-                sent_bits = 0
-                sent_to: dict[str, int] = {}
-                for dst, payload in result.messages.items():
-                    if not 0 <= dst < m:
-                        raise ProtocolError(
-                            f"machine {i} sent a message to invalid machine {dst}"
-                        )
-                    if not isinstance(payload, Bits):
-                        raise ProtocolError(
-                            f"machine {i} sent a non-Bits payload to {dst}"
-                        )
-                    next_inboxes[dst].append((i, payload))
-                    round_messages += 1
-                    round_message_bits += len(payload)
-                    round_edges.append((i, dst, len(payload)))
-                    sent_messages += 1
-                    sent_bits += len(payload)
-                    if traced:
-                        # str keys: a JSONL round-trip must reproduce
-                        # the in-memory attrs exactly (JSON has no int
-                        # keys); the analysis layer int()s them back.
-                        key = str(dst)
-                        sent_to[key] = sent_to.get(key, 0) + len(payload)
+                round_messages += len(step_edges)
+                round_message_bits += sent_bits
+                round_edges.extend(step_edges)
                 if traced:
                     emit(
                         "mpc.machine_step",
@@ -245,14 +320,10 @@ class MPCSimulator:
                         machine=i,
                         dur=step_dur,
                         incoming_bits=incoming_bits,
-                        sent_messages=sent_messages,
+                        sent_messages=len(step_edges),
                         sent_bits=sent_bits,
-                        sent_to=sent_to,
-                        oracle_queries=(
-                            oracle.queries_in_context()
-                            if oracle is not None
-                            else 0
-                        ),
+                        sent_to=dict(sent_to),
+                        oracle_queries=step_queries,
                     )
                 if result.output is not None:
                     outputs[i] = result.output

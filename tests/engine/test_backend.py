@@ -1,4 +1,4 @@
-"""Backend selection: precedence, env mirroring, factory dispatch."""
+"""Backend selection: precedence and env mirroring."""
 
 import os
 
@@ -6,23 +6,10 @@ import pytest
 
 from repro.engine import (
     BACKENDS,
-    FastMPCSimulator,
     default_backend,
-    make_simulator,
     resolve_backend,
     use_backend,
 )
-from repro.mpc.machine import Machine, RoundContext, RoundOutput
-from repro.mpc.model import MPCParams
-from repro.mpc.simulator import MPCSimulator
-
-
-PARAMS = MPCParams(m=1, s_bits=8, q=None, max_rounds=2)
-
-
-class _Halt(Machine):
-    def run_round(self, ctx: RoundContext) -> RoundOutput:
-        return RoundOutput(halt=True)
 
 
 class TestResolution:
@@ -82,18 +69,3 @@ class TestScope:
                 assert default_backend() == "python"
             assert default_backend() == "fast"
 
-
-class TestFactory:
-    def test_python_class(self):
-        sim = make_simulator(PARAMS, [_Halt()], backend="python")
-        assert type(sim) is MPCSimulator
-
-    def test_fast_class(self):
-        sim = make_simulator(PARAMS, [_Halt()], backend="fast")
-        assert type(sim) is FastMPCSimulator
-
-    def test_ambient_scope_drives_factory(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        with use_backend("fast"):
-            assert type(make_simulator(PARAMS, [_Halt()])) is FastMPCSimulator
-        assert type(make_simulator(PARAMS, [_Halt()])) is MPCSimulator

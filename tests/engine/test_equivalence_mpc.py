@@ -1,18 +1,21 @@
-"""Property tests: the fast MPC backend is observably identical.
+"""Property tests: the steady-state memo is observably invisible.
 
-Randomized protocol shapes run under both backends; everything a caller
-can observe -- outputs, round counts, per-round :class:`RoundStats`
-(including the communication topology edges), the oracle's query
-transcript, and the traced deterministic record stream -- must match
-exactly.  ``dur``/``ts`` wall-clock attrs are the only permitted
-difference, and those are excluded from the determinism contract.
+Randomized protocol shapes run twice on the one simulator: once with
+the protocol's own ``round_oblivious`` machines, so idle steps are
+replayed, and once with the same machines re-classed into test-local
+subclasses that set ``round_oblivious = False`` (the opt-out), so every
+step executes.  Everything a caller can observe -- outputs, round
+counts, per-round :class:`RoundStats` (including the communication
+topology edges), the oracle's query transcript, and the traced
+deterministic record stream -- must match exactly.  ``dur``/``ts``
+wall-clock attrs are the only permitted difference, and those are
+excluded from the determinism contract.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import use_backend
 from repro.functions import LineParams, sample_input
 from repro.functions.params import SimLineParams
 from repro.obs import Tracer, use_tracer
@@ -20,30 +23,57 @@ from repro.obs.analysis import diff_traces
 from repro.obs.forensics import explain_divergence
 from repro.oracle import CountingOracle, LazyRandomOracle
 from repro.protocols import build_chain_protocol, run_chain
-from repro.protocols.simline_pipeline import build_simline_pipeline, run_pipeline
+from repro.protocols.chain import LineChainMachine
+from repro.protocols.simline_pipeline import (
+    SimLinePipelineMachine,
+    build_simline_pipeline,
+    run_pipeline,
+)
+
+
+class OptOutChainMachine(LineChainMachine):
+    round_oblivious = False
+
+
+class OptOutPipelineMachine(SimLinePipelineMachine):
+    round_oblivious = False
+
+
+_OPT_OUT = {
+    LineChainMachine: OptOutChainMachine,
+    SimLinePipelineMachine: OptOutPipelineMachine,
+}
+
+
+def _build(build, memo):
+    """A fresh protocol; without ``memo`` its machines opt out."""
+    setup, oracle, runner = build()
+    if not memo:
+        for machine in setup.machines:
+            machine.__class__ = _OPT_OUT[type(machine)]
+    return setup, oracle, runner
 
 
 def _run_both(build):
-    """Run one freshly built protocol under each backend."""
+    """Run one protocol as opt-out and as memoized."""
     results = {}
-    for backend in ("python", "fast"):
-        setup, oracle, runner = build()
-        with use_backend(backend):
-            results[backend] = (runner(setup, oracle), oracle)
-    return results["python"], results["fast"]
+    for memo in (False, True):
+        setup, oracle, runner = _build(build, memo)
+        results[memo] = (runner(setup, oracle), oracle)
+    return results[False], results[True]
 
 
-def _assert_results_equal(py, fast):
-    (res_py, oracle_py), (res_fast, oracle_fast) = py, fast
-    assert res_py.outputs == res_fast.outputs
-    assert res_py.rounds == res_fast.rounds
-    assert res_py.halted == res_fast.halted
-    assert res_py.first_output_round == res_fast.first_output_round
+def _assert_results_equal(ref, memo):
+    (res_ref, oracle_ref), (res_memo, oracle_memo) = ref, memo
+    assert res_ref.outputs == res_memo.outputs
+    assert res_ref.rounds == res_memo.rounds
+    assert res_ref.halted == res_memo.halted
+    assert res_ref.first_output_round == res_memo.first_output_round
     # RoundStats is a frozen dataclass: == covers counts, bits, queries,
     # active machines, and the full (sender, receiver, bits) topology.
-    assert res_py.stats.rounds == res_fast.stats.rounds
-    assert oracle_py.transcript == oracle_fast.transcript
-    assert oracle_py.total_queries == oracle_fast.total_queries
+    assert res_ref.stats.rounds == res_memo.stats.rounds
+    assert oracle_ref.transcript == oracle_memo.transcript
+    assert oracle_ref.total_queries == oracle_memo.total_queries
 
 
 def _chain_builder(w, num_machines, input_seed, oracle_seed):
@@ -97,16 +127,16 @@ class TestChainEquivalence:
     def test_traced_streams_identical(self, w, num_machines, seed):
         build = _chain_builder(w, num_machines, seed, seed + 1)
         streams = {}
-        for backend in ("python", "fast"):
-            setup, oracle, runner = build()
+        for memo in (False, True):
+            setup, oracle, runner = _build(build, memo)
             tracer = Tracer()
-            with use_tracer(tracer), use_backend(backend):
+            with use_tracer(tracer):
                 runner(setup, oracle)
-            streams[backend] = list(tracer.records)
-        diff = diff_traces(streams["python"], streams["fast"])
+            streams[memo] = list(tracer.records)
+        diff = diff_traces(streams[False], streams[True])
         assert not diff.has_differences, diff.render()
         divergence = explain_divergence(
-            lambda: iter(streams["python"]), lambda: iter(streams["fast"])
+            lambda: iter(streams[False]), lambda: iter(streams[True])
         )
         assert divergence is None
 
