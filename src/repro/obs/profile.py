@@ -135,17 +135,7 @@ class SpanProfiler:
 
     def __call__(self, record: TraceRecord) -> None:
         if record.kind == "span" and record.dur is not None:
-            start = record.ts
-            if "worker" in record.attrs:
-                # Spans replayed over the repro.parallel bridge carry
-                # the replay timestamp (the parent-stream emission
-                # time), not the true start; the measured dur is real,
-                # so the start is recovered the same way as for
-                # duration-carrying events.  Without this, a trial's
-                # rounds are never adopted by its mpc.run and nested
-                # durations double-count as siblings.
-                start = record.ts - record.dur
-            self._close(record.name, start, record.dur, record.attrs)
+            self._close(record.name, record.ts, record.dur, record.attrs)
         elif record.kind == "event":
             dur = record.attrs.get("dur")
             if isinstance(dur, (int, float)):
@@ -401,8 +391,6 @@ class ProfileSession:
     profiler: SpanProfiler
     cprofile: ScopedCProfile | None = None
     memory: RoundMemorySampler | None = None
-    #: Execution backend that produced these records ("python"/"fast").
-    backend: str = "python"
 
 
 def profile_experiment(
@@ -419,11 +407,9 @@ def profile_experiment(
     kind; ``memory`` attaches the per-round ``tracemalloc`` sampler.
     """
     # Imported here: repro.experiments itself imports repro.obs.
-    from repro.engine.backend import default_backend
     from repro.experiments import run_experiment
     from repro.obs.tracer import Tracer, use_tracer
 
-    backend = default_backend()
     tracer = Tracer()
     profiler = SpanProfiler()
     tracer.subscribe(profiler)
@@ -439,9 +425,6 @@ def profile_experiment(
         sampler.start()
     try:
         with use_tracer(tracer):
-            # telemetry.* records sit outside the determinism contract,
-            # so the label never perturbs trace-diff fingerprints.
-            tracer.event("telemetry.backend", backend=backend)
             result = run_experiment(experiment_id, scale=scale)
     finally:
         if scoped is not None:
@@ -455,5 +438,4 @@ def profile_experiment(
         profiler=profiler,
         cprofile=scoped,
         memory=sampler,
-        backend=backend,
     )

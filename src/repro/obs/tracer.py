@@ -160,7 +160,8 @@ class NullTracer:
         """No-op hook window."""
         yield
 
-    def replay(self, record: "TraceRecord", **extra_attrs) -> None:
+    def replay(self, record: "TraceRecord", offset: float,
+               **extra_attrs) -> None:
         """Discard."""
 
 
@@ -263,7 +264,7 @@ class Tracer:
         The meter is an object with ``begin() -> token`` / ``end(token)``
         methods (see :class:`repro.telemetry.OverheadMeter`) timing the
         full fan-out of every record -- the observability tax the
-        ``telemetry.overhead_frac`` report subtracts from backend
+        ``telemetry.overhead_frac`` report subtracts from timing
         comparisons.  Nested emissions (a subscriber emitting) are the
         meter's problem: it only times the outermost window.
         """
@@ -338,23 +339,25 @@ class Tracer:
         finally:
             self.end_span(open_span)
 
-    def replay(self, record: TraceRecord, **extra_attrs) -> None:
+    def replay(self, record: TraceRecord, offset: float,
+               **extra_attrs) -> None:
         """Re-emit a record captured on *another* tracer onto this stream.
 
         The worker-to-parent bridge of :mod:`repro.parallel`: a trial
         that ran under a private tracer (possibly in a worker process)
         ships its records back, and the parent replays them here so
         subscribers -- metrics, invariant monitors, exporters -- see one
-        coherent stream.  The record's ``dur`` is preserved (it is a
-        real measured interval); its ``ts`` is remapped to this tracer's
-        clock *now*, keeping the parent stream monotonic.
-        ``extra_attrs`` (e.g. ``worker=2, trial=17``) are merged over
-        the record's own attributes.
+        coherent stream.  ``offset`` is where the capturing tracer's
+        clock zero sits on this tracer's clock: ``ts`` is shifted by it
+        and ``dur`` is kept, so the records of one capture keep their
+        relative timing (a span's ``ts`` stays its start, and nested
+        spans stay nested).  ``extra_attrs`` (e.g. ``worker=2,
+        trial=17``) are merged over the record's own attributes.
         """
         self._emit(TraceRecord(
             record.kind,
             record.name,
-            self.now(),
+            record.ts + offset,
             record.dur,
             {**record.attrs, **extra_attrs} if extra_attrs else record.attrs,
         ))

@@ -206,10 +206,10 @@ def _run_chunk(
     return out
 
 
-def _replay(records: Sequence[TraceRecord], worker: int, trial: int) -> None:
-    tracer = get_tracer()
-    for record in records:
-        tracer.replay(record, worker=worker, trial=trial)
+def _extent(records: Sequence[TraceRecord]) -> float:
+    """Length of one trial's capture on its own clock: the latest end
+    of any of its records."""
+    return max((r.ts + (r.dur or 0.0) for r in records), default=0.0)
 
 
 def _raise_trial_failure(exc: BaseException, trial: int, worker: int):
@@ -303,10 +303,23 @@ class TrialPool:
     def _collect(self, outs: list[list[tuple]], capture: bool) -> list:
         results: dict[int, object] = {}
         tracer = get_tracer()
+        if capture:
+            # Captured trials are laid back to back on the parent clock,
+            # the last one ending now.  Each keeps its own relative
+            # timing and none overlaps another, so span nesting (and the
+            # profiler's self/cumulative split) survives the replay.
+            # Parallel trials really overlapped, so laid end to end they
+            # can reach back before the map began.
+            offset = tracer.now() - sum(
+                _extent(records) for chunk_out in outs
+                for _, _, _, records in chunk_out
+            )
         for worker, chunk_out in enumerate(outs):
             for t, ok, payload, records in chunk_out:
                 if capture:
-                    _replay(records, worker, t)
+                    for record in records:
+                        tracer.replay(record, offset, worker=worker, trial=t)
+                    offset += _extent(records)
                 if not ok:
                     _raise_trial_failure(payload, t, worker)
                 if (

@@ -6,19 +6,18 @@ how slow and how big each experiment is *allowed* to get::
     {
       "version": 1,
       "budgets": {
-        "E-LINE":        {"wall_s": 5.0},
-        "E-LINE/fast":   {"wall_s": 2.0},
-        "*":             {"wall_s": 30.0, "rss_peak_kb": 2097152}
+        "E-LINE": {"wall_s": 5.0},
+        "*":      {"wall_s": 30.0, "rss_peak_kb": 2097152}
       }
     }
 
-Lookup is most-specific-wins: ``"<experiment>/<backend>"`` beats
-``"<experiment>"`` beats the ``"*"`` catch-all; an experiment matching
-no key has no budget.  Budget checks are **advisory** in exactly the
-sense of :mod:`repro.obs.monitor` violations: they annotate a bench
-run's report and can gate CI, but wall-clock and RSS never enter any
-deterministic fingerprint -- a budget breach changes what a human
-reads, never what a trace hashes to.
+Lookup is most-specific-wins: ``"<experiment>"`` beats the ``"*"``
+catch-all; an experiment matching no key has no budget.  Budget checks
+are **advisory** in exactly the sense of :mod:`repro.obs.monitor`
+violations: they annotate a bench run's report and can gate CI, but
+wall-clock and RSS never enter any deterministic fingerprint -- a
+budget breach changes what a human reads, never what a trace hashes
+to.
 
 RSS caveat: ``rss_peak_kb`` is the process high-water mark (VmHWM),
 which is monotone across a suite run; an RSS breach therefore means
@@ -73,11 +72,10 @@ class BudgetViolation:
     what the budget allowed, and which rule matched."""
 
     experiment_id: str
-    backend: str
     metric: str  # "wall_s" | "rss_peak_kb"
     observed: float
     limit: float
-    budget_key: str  # the rule that matched ("E-LINE/fast", "*", ...)
+    budget_key: str  # the rule that matched ("E-LINE", "*", ...)
 
     @property
     def ratio(self) -> float:
@@ -86,7 +84,6 @@ class BudgetViolation:
     def to_dict(self) -> dict:
         return {
             "experiment_id": self.experiment_id,
-            "backend": self.backend,
             "metric": self.metric,
             "observed": self.observed,
             "limit": self.limit,
@@ -149,17 +146,6 @@ def load_budgets(path: str | None = None) -> dict[str, Budget]:
     return budgets
 
 
-def _budget_for(
-    budgets: Mapping[str, Budget], experiment_id: str, backend: str
-) -> Budget | None:
-    """Most-specific-wins lookup: exp/backend, then exp, then ``*``."""
-    for key in (f"{experiment_id}/{backend}", experiment_id, "*"):
-        budget = budgets.get(key)
-        if budget is not None:
-            return budget
-    return None
-
-
 def check_budgets(
     results: Iterable, budgets: Mapping[str, Budget]
 ) -> list[BudgetViolation]:
@@ -167,7 +153,7 @@ def check_budgets(
     against the declared budgets; returns every breach."""
     violations: list[BudgetViolation] = []
     for result in results:
-        budget = _budget_for(budgets, result.experiment_id, result.backend)
+        budget = budgets.get(result.experiment_id) or budgets.get("*")
         if budget is None:
             continue
         for metric, observed, limit in (
@@ -180,7 +166,6 @@ def check_budgets(
                 violations.append(
                     BudgetViolation(
                         experiment_id=result.experiment_id,
-                        backend=result.backend,
                         metric=metric,
                         observed=float(observed),
                         limit=limit,
@@ -201,7 +186,7 @@ def render_budget_violations(
         else:
             detail = f"{v.observed:.0f}kB > {v.limit:.0f}kB"
         lines.append(
-            f"budget: {v.experiment_id} ({v.backend}) {v.metric} "
+            f"budget: {v.experiment_id} {v.metric} "
             f"{detail} ({v.ratio:.2f}x, rule {v.budget_key!r}) [advisory]"
         )
     return lines

@@ -1,7 +1,7 @@
 """Observability self-overhead accounting: what does watching cost?
 
-Every claim the ROADMAP's speed arcs will make ("the vectorized
-backend is 10x faster") is measured *through* the tracer -- so the
+Every speed-up claim ("the vectorized oracle is 10x faster") is
+measured *through* the tracer -- so the
 tracer's own cost must be a known, subtractable quantity, not folded
 invisibly into experiment wall-clock.  :class:`OverheadMeter` measures
 it at the single choke point every record passes through:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.experiments import experiment_ids, experiment_info
 from repro.obs import (
     NULL_TRACER,
     RoundMemorySampler,
@@ -13,6 +14,13 @@ from repro.obs import (
     profile_experiment,
     use_tracer,
 )
+
+
+#: Experiments whose trials go through the repro.parallel capture/replay
+#: bridge, plus E-MEM (plain MPC runs) as a control.
+_PARTITION_IDS = [
+    eid for eid in experiment_ids() if experiment_info(eid)["trial_parallel"]
+] + ["E-MEM"]
 
 
 def sp(name, ts, dur, **attrs):
@@ -231,6 +239,22 @@ class TestProfileExperiment:
             root.dur, rel=0.05
         )
         assert session.profiler.total_s == pytest.approx(root.dur, rel=0.05)
+
+    @pytest.mark.parametrize("experiment_id", _PARTITION_IDS)
+    def test_self_times_partition_the_total(self, experiment_id):
+        """Sum of self times = traced total, and self <= cum per row.
+
+        Replayed trials must keep their relative timing: if they did
+        not, a later, longer trial would adopt an earlier sibling and
+        the self times would over-count the total.
+        """
+        profiler = profile_experiment(experiment_id).profiler
+        hotspots = profiler.hotspots()
+        assert sum(h.self_s for h in hotspots) == pytest.approx(
+            profiler.total_s, abs=1e-6
+        )
+        for h in hotspots:
+            assert h.self_s <= h.cum_s + 1e-9, h
 
 
 @pytest.fixture(autouse=True)

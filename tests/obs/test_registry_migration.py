@@ -116,17 +116,39 @@ class TestMigration:
             assert record.experiment_id == "E-LINE"
             assert registry.bench_count() == 0
             bench_id = registry.record_bench(BenchResult(
-                experiment_id="E-LINE", wall_s=0.5, backend="fast",
+                experiment_id="E-LINE", wall_s=0.5,
             ))
             (row,) = registry.bench_results()
             assert row.bench_id == bench_id
-            assert row.backend == "fast"
         conn = sqlite3.connect(path)
         assert (
             conn.execute("PRAGMA user_version").fetchone()[0]
             == SCHEMA_VERSION
         )
         conn.close()
+
+    def test_legacy_fast_bench_row_stays_out_of_reads(self, tmp_path):
+        """A v3 file may hold bench rows an older build recorded under
+        ``backend = 'fast'``; it opens, and those rows never reach a
+        trend series."""
+        path = str(tmp_path / "v3.db")
+        with RunRegistry.open(path) as registry:
+            kept = registry.record_bench(BenchResult(
+                experiment_id="E-LINE", wall_s=0.5,
+            ))
+        conn = sqlite3.connect(path)
+        conn.execute(
+            "INSERT INTO bench_results (ts_utc, experiment_id, backend, "
+            "wall_s) VALUES (?, ?, ?, ?)",
+            ("2026-01-01T00:00:00+00:00", "E-LINE", "fast", 0.1),
+        )
+        conn.commit()
+        conn.close()
+        with RunRegistry.open(path) as registry:
+            assert registry.bench_count() == 2
+            (row,) = registry.bench_results()
+            assert row.bench_id == kept
+            assert registry.bench_results("E-LINE", suite="quick") == [row]
 
     def test_v2_migration_preserves_telemetry_columns(self, tmp_path):
         """The v2 -> v3 bump must not disturb the v2 ALTERs."""

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.obs.profile import SpanProfiler
-from repro.obs.tracer import TraceRecord
+from repro.obs.tracer import TraceRecord, Tracer
 from repro.perfwatch import diff_profilers, diff_trace_files
 
 
@@ -95,19 +95,22 @@ class TestDiffTraceFiles:
 
 class TestReplayedSpans:
     def test_replayed_span_start_reconstructed(self):
-        """Spans replayed over the parallel bridge carry end-time ts
-        plus a worker attr; nesting must still reconstruct (the round
-        is adopted by its run, not double-counted as a sibling)."""
-        records = [
-            # Replay burst: round completed, then its run, both
-            # stamped at replay time (ts close together, dur real).
-            TraceRecord("span", "mpc.round", 0.95, 0.4,
-                        {"worker": 0, "trial": 0}),
-            TraceRecord("span", "mpc.run", 0.96, 0.9,
-                        {"worker": 0, "trial": 0}),
-            # The live enclosing span with a true start time.
-            TraceRecord("span", "experiment", 0.0, 1.0),
-        ]
+        """Spans replayed over the parallel bridge keep their start
+        (shifted by the capture's offset) as ``ts``, so nesting
+        reconstructs: the round is adopted by its run, not
+        double-counted as a sibling."""
+        parent = Tracer()
+        # A trial captured on its own clock: round completed, then its
+        # run, replayed with the capture's zero at parent time 0.05.
+        for record in (
+            TraceRecord("span", "mpc.round", 0.05, 0.4),
+            TraceRecord("span", "mpc.run", 0.0, 0.9),
+        ):
+            parent.replay(record, 0.05, worker=0, trial=0)
+        # The live enclosing span with a true start time.
+        records = [*parent.records,
+                   TraceRecord("span", "experiment", 0.0, 1.0)]
+        assert [r.ts for r in records[:2]] == pytest.approx([0.1, 0.05])
         profiler = SpanProfiler.of(records)
         spots = {h.name: h for h in profiler.hotspots()}
         assert profiler.total_s == pytest.approx(1.0)
