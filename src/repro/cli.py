@@ -14,8 +14,8 @@
     python -m repro trace-diff baseline.jsonl current.jsonl
     python -m repro bench-compare benchmarks/baseline.json <bench-dir>
     python -m repro bench-baseline <bench-dir> [-o baseline.json]
-    python -m repro bench run [--suite quick] [--history]
-    python -m repro bench trend [--source both] [--window 8] [--json]
+    python -m repro bench run [--suite quick] [--json]
+    python -m repro bench trend [-e E-LINE] [--window 8] [--json]
     python -m repro cost show [chain ram.line] [--latex]
     python -m repro cost eval chain T=64 m=4 b=2 v=8 u=16 q=none R=40
     python -m repro cost check [E-LINE E-RAM] [--strict] [--trace t.jsonl]
@@ -78,13 +78,12 @@ drift; ``bench-baseline`` (re)generates that baseline file.
 The ``bench`` family is the **performance observatory**
 (:mod:`repro.perfwatch`): ``bench run`` drives a curated suite
 (``--suite quick|full``) with warmup + best-of-k timing, stamps every
-row with an environment fingerprint, writes ``BENCH_*.json`` payloads
-plus registry ``bench_results`` rows, optionally appends the committed
-``benchmarks/bench_history.json`` ledger (``--history``), and reports
-advisory budget violations (``benchmarks/budgets.json``); ``bench
-trend`` applies the robust changepoint gate (rolling median + MAD
-z-score + absolute noise floor) over that history and exits 1 on a
-confirmed regression.  ``profile --compare A B`` differentially aligns
+row with an environment fingerprint, records registry ``bench_results``
+rows (the one bench history) plus a ``BENCH_*.json`` export, and
+reports advisory budget violations (``benchmarks/budgets.json``);
+``bench trend`` applies the trend gate (rolling median + absolute
+noise floor + MAD z-score) to those rows and exits 1 on a confirmed
+regression.  ``profile --compare A B`` differentially aligns
 two traces' hotspot tables, attributing the wall-clock delta to named
 spans.  Wall-clock never enters any deterministic fingerprint -- see
 docs/PERFORMANCE.md, "Performance observatory".
@@ -109,8 +108,9 @@ env var, or ``~/.repro/runs.db``; opt out with ``--no-record``).  The
 ``runs`` family queries that history: ``runs list``/``show`` browse
 rows, ``runs compare A B`` diffs two runs' deterministic counters and
 metrics, ``runs trend`` renders per-experiment sparkline series and
-applies the rolling-window regression gate plus flaky-verdict detection
-(exit 1 -- the cross-run CI contract), ``runs gc`` prunes old rows.
+applies the same trend gate plus flaky-verdict detection (exit 1 --
+the cross-run CI contract), ``runs gc`` prunes old rows.  The query
+commands never create a missing registry file.
 See docs/OBSERVABILITY.md, "Run registry & history".
 """
 
@@ -151,11 +151,12 @@ from repro.obs import (
     TraceFormatError,
     TraceMetrics,
     Tracer,
+    TrendReport,
+    bench_trend_report,
     build_index,
     compare_benchmarks,
     compare_runs,
     counters_of,
-    default_registry_path,
     diff_traces,
     ensure_index,
     explain_trace_files,
@@ -182,16 +183,9 @@ from repro.obs import (
     write_html_report,
 )
 from repro.perfwatch import (
-    DEFAULT_HISTORY,
-    append_bench_history,
-    bench_trend,
     check_budgets,
     diff_trace_files,
-    load_bench_history,
     load_budgets,
-    merge_points,
-    points_from_history,
-    points_from_registry,
     render_budget_violations,
     run_suite,
     suite_experiments,
@@ -842,7 +836,7 @@ def _cmd_bench_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_runs_list(args: argparse.Namespace) -> int:
-    with RunRegistry.open(args.registry) as registry:
+    with RunRegistry.open(args.registry, create=False) as registry:
         records = registry.runs(args.experiment, limit=args.limit)
     if args.json:
         print(json.dumps([r.to_dict() for r in records], indent=2))
@@ -852,7 +846,7 @@ def _cmd_runs_list(args: argparse.Namespace) -> int:
 
 
 def _cmd_runs_show(args: argparse.Namespace) -> int:
-    with RunRegistry.open(args.registry) as registry:
+    with RunRegistry.open(args.registry, create=False) as registry:
         try:
             record = registry.get(args.run_id)
         except KeyError as exc:
@@ -863,7 +857,7 @@ def _cmd_runs_show(args: argparse.Namespace) -> int:
 
 
 def _cmd_runs_compare(args: argparse.Namespace) -> int:
-    with RunRegistry.open(args.registry) as registry:
+    with RunRegistry.open(args.registry, create=False) as registry:
         try:
             comparison = compare_runs(registry, args.a, args.b)
         except KeyError as exc:
@@ -876,8 +870,16 @@ def _cmd_runs_compare(args: argparse.Namespace) -> int:
     return 0 if comparison.identical else 1
 
 
+def _print_trend(report: TrendReport, args: argparse.Namespace) -> int:
+    if args.json:
+        print(json.dumps(report.to_dict(), indent=2))
+    else:
+        print(report.render())
+    return 1 if report.failed else 0
+
+
 def _cmd_runs_trend(args: argparse.Namespace) -> int:
-    with RunRegistry.open(args.registry) as registry:
+    with RunRegistry.open(args.registry, create=False) as registry:
         report = trend_report(
             registry,
             experiment_id=args.experiment,
@@ -889,11 +891,7 @@ def _cmd_runs_trend(args: argparse.Namespace) -> int:
     if args.html:
         size = write_history_html(report, args.html)
         print(f"wrote {args.html} ({size} bytes)", file=sys.stderr)
-    if args.json:
-        print(json.dumps(report.to_dict(), indent=2))
-    else:
-        print(report.render())
-    return 1 if report.failed else 0
+    return _print_trend(report, args)
 
 
 def _cmd_runs_gc(args: argparse.Namespace) -> int:
@@ -945,14 +943,6 @@ def _cmd_bench_run(args: argparse.Namespace) -> int:
             for result in results:
                 bench_id = registry.record_bench(result)
                 recorded.append(bench_id)
-    if args.history is not None:
-        total = append_bench_history(
-            results, args.history, keep_last=args.history_keep_last
-        )
-        print(
-            f"bench run: history {args.history} now {total} row(s)",
-            file=sys.stderr,
-        )
     budgets = load_budgets(args.budgets)
     violations = check_budgets(results, budgets)
     if args.json:
@@ -983,38 +973,15 @@ def _cmd_bench_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench_trend(args: argparse.Namespace) -> int:
-    history_points: list = []
-    registry_points: list = []
-    if args.source in ("both", "history"):
-        try:
-            rows = load_bench_history(args.history)
-        except (ValueError, json.JSONDecodeError) as exc:
-            print(f"bench trend: {exc}", file=sys.stderr)
-            return 2
-        history_points = points_from_history(rows)
-    if args.source in ("both", "registry"):
-        registry_path = args.registry or os.environ.get(
-            "REPRO_REGISTRY"
-        ) or default_registry_path()
-        # Read-only intent: never create an empty DB just to trend it.
-        if os.path.exists(os.path.expanduser(registry_path)):
-            with RunRegistry.open(args.registry) as registry:
-                registry_points = points_from_registry(registry)
-    points = merge_points(history_points, registry_points)
-    if args.experiment:
-        points = [p for p in points if p.experiment_id in args.experiment]
-    report = bench_trend(
-        points,
-        window=args.window,
-        threshold=args.threshold,
-        min_delta=args.min_delta,
-        z_threshold=args.z_threshold,
-    )
-    if args.json:
-        print(json.dumps(report.to_dict(), indent=2))
-    else:
-        print("\n".join(report.render()))
-    return report.exit_code
+    with RunRegistry.open(args.registry, create=False) as registry:
+        report = bench_trend_report(
+            registry,
+            experiments=args.experiment,
+            window=args.window,
+            threshold=args.threshold,
+            min_delta=args.min_delta,
+        )
+    return _print_trend(report, args)
 
 
 def build_report(scale: str = "quick") -> str:
@@ -1602,7 +1569,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     rtrend_p = runs_sub.add_parser(
         "trend",
-        help="per-experiment history with the rolling regression gate "
+        help="per-experiment history with the trend gate "
         "(exit 1 on regression or flaky verdicts)",
     )
     rtrend_p.add_argument(
@@ -1616,7 +1583,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     rtrend_p.add_argument(
         "--window", type=int, default=5, metavar="N",
-        help="pre-latest runs averaged into the baseline (default 5)",
+        help="pre-latest runs whose median is the baseline (default 5)",
     )
     rtrend_p.add_argument(
         "--threshold", type=float, default=0.5, metavar="FRAC",
@@ -1925,7 +1892,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     bench_p = sub.add_parser(
         "bench",
         help="the performance observatory: curated wall-clock suite "
-        "(run) and the statistical regression gate (trend)",
+        "(run) and the trend gate over its history (trend)",
     )
     bench_sub = bench_p.add_subparsers(dest="bench_command", required=True)
 
@@ -1962,17 +1929,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "REPRO_BENCH_JSON env var, else bench-out)",
     )
     brun_p.add_argument(
-        "--history", nargs="?", const=DEFAULT_HISTORY, default=None,
-        metavar="PATH",
-        help="also append rows to the committed bench history ledger "
-        f"(default path {DEFAULT_HISTORY})",
-    )
-    brun_p.add_argument(
-        "--history-keep-last", type=int, default=60, metavar="N",
-        help="prune each experiment's history series to its "
-        "N newest rows when appending (default 60)",
-    )
-    brun_p.add_argument(
         "--budgets", default=None, metavar="PATH",
         help="budgets file for the advisory wall-time/RSS check "
         "(default benchmarks/budgets.json when present)",
@@ -1990,22 +1946,12 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     btrend_p = bench_sub.add_parser(
         "trend",
-        help="statistical wall-clock regression gate over bench history "
+        help="the trend gate over the registry's bench_results rows "
         "(exit 1 on a confirmed regression)",
     )
     btrend_p.add_argument(
         "-e", "--experiment", action="append", default=None, metavar="ID",
         help="restrict to these experiment ids (repeatable)",
-    )
-    btrend_p.add_argument(
-        "--source", choices=("both", "history", "registry"),
-        default="both",
-        help="where history comes from: the committed ledger, the run "
-        "registry's bench_results table, or both merged (default both)",
-    )
-    btrend_p.add_argument(
-        "--history", default=DEFAULT_HISTORY, metavar="PATH",
-        help=f"bench history ledger (default {DEFAULT_HISTORY})",
     )
     btrend_p.add_argument(
         "--window", type=int, default=8, metavar="N",
@@ -2021,11 +1967,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "--min-delta", type=float, default=0.005, metavar="SECONDS",
         help="absolute noise floor: increases below this never fire "
         "(default 0.005s)",
-    )
-    btrend_p.add_argument(
-        "--z-threshold", type=float, default=4.0, metavar="Z",
-        help="robust (MAD-based) z-score the latest point must also "
-        "exceed when the window has measurable spread (default 4)",
     )
     btrend_p.add_argument(
         "--json", action="store_true", help="emit machine-readable JSON"

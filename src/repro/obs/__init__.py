@@ -41,12 +41,11 @@ and a reading guide):
   :class:`ConvergenceMonitor` (``estimate.converged`` events, "verdict
   not statistically resolved" flags);
 * :mod:`repro.obs.history` -- cross-run analytics over the registry:
-  the ``repro runs {list,show,compare,trend,gc}`` toolchain with a
-  rolling-window regression gate and flaky-verdict detection;
-* :mod:`repro.obs.trendstats` -- the shared trend arithmetic (rolling
-  gates, robust MAD z-scores, sparklines) behind both ``runs trend``
-  and the performance observatory's ``bench trend``
-  (:mod:`repro.perfwatch`).
+  the ``repro runs {list,show,compare,trend,gc}`` toolchain with
+  flaky-verdict detection, and the ``bench trend`` reader;
+* :mod:`repro.obs.trendstats` -- the one trend gate (rolling median,
+  absolute floor, robust MAD z-score) and its report type behind both
+  ``runs trend`` and ``bench trend``.
 
 Instrumentation lives in :mod:`repro.mpc.simulator`,
 :mod:`repro.oracle.counting`, :mod:`repro.ram.machine`, and
@@ -117,23 +116,23 @@ from repro.obs.query import (
     run_query,
 )
 from repro.obs.history import (
-    FlakyVerdict,
     RunComparison,
-    TrendReport,
-    TrendSeries,
-    ascii_sparkline,
+    bench_trend_report,
     compare_runs,
     render_runs_table,
     trend_report,
 )
 from repro.obs.metrics import Distribution, TraceMetrics, flatten_dotted
 from repro.obs.trendstats import (
-    RollingGate,
+    FlakyVerdict,
+    TrendReport,
+    TrendSeries,
+    ascii_sparkline,
     mad,
     median,
     robust_z,
-    rolling_gate,
     rolling_window,
+    trend_gate,
 )
 from repro.obs.monitor import InvariantMonitor, InvariantViolation, Violation
 from repro.obs.profile import (
@@ -197,7 +196,6 @@ __all__ = [
     "Query",
     "QueryError",
     "QueryResult",
-    "RollingGate",
     "RoundMemorySampler",
     "RunComparison",
     "RunRecord",
@@ -219,6 +217,7 @@ __all__ = [
     "ascii_sparkline",
     "attach_estimates",
     "bench_payload",
+    "bench_trend_report",
     "build_index",
     "causal_context",
     "chrome_trace_events",
@@ -255,12 +254,12 @@ __all__ = [
     "render_runs_table",
     "render_triage",
     "robust_z",
-    "rolling_gate",
     "rolling_window",
     "run_query",
     "save_baseline",
     "set_tracer",
     "summarize",
+    "trend_gate",
     "trend_report",
     "triage",
     "triage_file",

@@ -1,24 +1,26 @@
 """Historical trend analytics over the run registry.
 
-The query layer behind ``repro runs {list,show,compare,trend,gc}``:
-given a :class:`~repro.obs.registry.RunRegistry`, it builds
-per-experiment time series of wall-clock and deterministic metrics and
-turns them into three cross-run signals no single trace can see:
+The query layer behind ``repro runs {list,show,compare,trend,gc}`` and
+``repro bench trend``: given a :class:`~repro.obs.registry.RunRegistry`,
+it builds per-experiment time series and turns them into three
+cross-run signals no single trace can see:
 
-* **wall-clock regressions** -- a rolling-window gate: the latest run
-  of an experiment is compared against the mean of the previous
-  ``window`` runs; a relative slowdown beyond ``threshold`` is a
-  regression (``repro runs trend`` exits 1, the CI contract);
+* **regressions** -- :func:`trend_report` (``runs`` rows, any metric)
+  and :func:`bench_trend_report` (``bench_results`` rows, best-of-k
+  ``wall_s``) hand their series to the one gate,
+  :func:`repro.obs.trendstats.trend_gate`: latest value vs the rolling
+  median of the previous ``window`` values (both commands exit 1 on a
+  regression, the CI contract);
 * **flaky verdicts** -- experiments are deterministic (every RNG is
   seeded), so two runs with the same ``(experiment, scale, seed)`` must
   agree; a pass *and* a fail in the same group is a flake and fails
-  the trend gate;
+  the runs trend gate;
 * **counter drift between any two runs** -- ``repro runs compare A B``
   diffs two rows' bench fingerprints and deterministic metrics the way
   ``bench-compare`` diffs a directory against a baseline.
 
 Sparklines: the terminal trend view renders each series with unicode
-block glyphs; ``repro runs trend -o trend.html`` reuses the HTML
+block glyphs; ``repro runs trend --html trend.html`` reuses the HTML
 report's inline-SVG sparklines (:func:`repro.obs.report.render_history_html`).
 """
 
@@ -28,16 +30,20 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.obs.registry import RunRecord, RunRegistry
-from repro.obs.trendstats import ascii_sparkline, rolling_gate
+from repro.obs.trendstats import (
+    FlakyVerdict,
+    TrendReport,
+    TrendSeries,
+    ascii_sparkline,
+    trend_gate,
+)
 
 __all__ = [
     "RunComparison",
-    "TrendSeries",
-    "TrendReport",
-    "FlakyVerdict",
     "metric_series",
     "compare_runs",
     "trend_report",
+    "bench_trend_report",
     "render_runs_table",
     "ascii_sparkline",
 ]
@@ -148,152 +154,8 @@ def compare_runs(registry: RunRegistry, a: int, b: int) -> RunComparison:
 
 
 # ---------------------------------------------------------------------------
-# runs trend
+# runs trend, bench trend
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class FlakyVerdict:
-    """One (experiment, scale, seed) group whose verdicts disagree."""
-
-    experiment_id: str
-    scale: str
-    seed: int | None
-    pass_ids: list[int]
-    fail_ids: list[int]
-
-    def to_dict(self) -> dict:
-        return {
-            "experiment_id": self.experiment_id,
-            "scale": self.scale,
-            "seed": self.seed,
-            "pass_ids": self.pass_ids,
-            "fail_ids": self.fail_ids,
-        }
-
-
-@dataclass
-class TrendSeries:
-    """One experiment's chronological series of a single metric."""
-
-    experiment_id: str
-    metric: str
-    run_ids: list[int]
-    values: list[float]
-    window: int
-    threshold: float
-    min_delta: float = 0.0
-    baseline: float | None = None  # mean of the pre-latest window
-    latest: float | None = None
-    ratio: float | None = None
-    regressed: bool = False
-
-    @property
-    def n(self) -> int:
-        return len(self.values)
-
-    def to_dict(self) -> dict:
-        return {
-            "experiment_id": self.experiment_id,
-            "metric": self.metric,
-            "run_ids": self.run_ids,
-            "values": [round(v, 6) for v in self.values],
-            "baseline": None if self.baseline is None else round(self.baseline, 6),
-            "latest": None if self.latest is None else round(self.latest, 6),
-            "ratio": None if self.ratio is None else round(self.ratio, 4),
-            "regressed": self.regressed,
-        }
-
-
-def _detect_regression(series: TrendSeries) -> None:
-    """Rolling-window gate: latest vs the mean of the previous window.
-
-    The arithmetic -- relative ``threshold`` gated by the absolute
-    ``min_delta`` noise floor -- is the shared
-    :func:`repro.obs.trendstats.rolling_gate`, the same primitive
-    ``repro bench trend`` builds its robust variant on.
-    """
-    gate = rolling_gate(
-        series.values,
-        window=series.window,
-        threshold=series.threshold,
-        min_delta=series.min_delta,
-    )
-    series.latest = gate.latest
-    series.baseline = gate.baseline
-    series.ratio = gate.ratio
-    series.regressed = gate.regressed
-
-
-@dataclass
-class TrendReport:
-    """The full ``repro runs trend`` outcome."""
-
-    metric: str
-    window: int
-    threshold: float
-    min_delta: float = 0.0
-    series: list[TrendSeries] = field(default_factory=list)
-    flaky: list[FlakyVerdict] = field(default_factory=list)
-
-    @property
-    def regressions(self) -> list[TrendSeries]:
-        return [s for s in self.series if s.regressed]
-
-    @property
-    def failed(self) -> bool:
-        """The CI gate: any regression or any flaky verdict."""
-        return bool(self.regressions or self.flaky)
-
-    def to_dict(self) -> dict:
-        return {
-            "metric": self.metric,
-            "window": self.window,
-            "threshold": self.threshold,
-            "min_delta": self.min_delta,
-            "series": [s.to_dict() for s in self.series],
-            "regressions": [s.experiment_id for s in self.regressions],
-            "flaky": [f.to_dict() for f in self.flaky],
-            "failed": self.failed,
-        }
-
-    def render(self) -> str:
-        if not self.series:
-            return "runs trend: no runs recorded"
-        lines = [
-            f"runs trend: metric={self.metric}, window={self.window}, "
-            f"threshold={self.threshold:.0%}"
-        ]
-        width = max(len(s.experiment_id) for s in self.series)
-        for s in self.series:
-            spark = ascii_sparkline(s.values)
-            if s.latest is None:
-                detail = f"{s.n} run(s), need >= 2 for the gate"
-            else:
-                marker = "REGRESSION" if s.regressed else "ok"
-                detail = (
-                    f"latest {s.latest:g} vs window mean {s.baseline:g} "
-                    f"({s.ratio:.2f}x) {marker}"
-                )
-            lines.append(
-                f"  {s.experiment_id:<{width}}  {spark}  {detail}"
-            )
-        for flake in self.flaky:
-            lines.append(
-                f"  FLAKY {flake.experiment_id} (scale={flake.scale}, "
-                f"seed={flake.seed}): passed in runs {flake.pass_ids}, "
-                f"failed in runs {flake.fail_ids}"
-            )
-        if self.failed:
-            lines.append(
-                f"FAIL: {len(self.regressions)} regressions, "
-                f"{len(self.flaky)} flaky verdict group(s)"
-            )
-        else:
-            lines.append(
-                f"ok: no regressions across {len(self.series)} experiment(s)"
-            )
-        return "\n".join(lines)
 
 
 def _find_flaky(records: Sequence[RunRecord]) -> list[FlakyVerdict]:
@@ -321,46 +183,68 @@ def trend_report(
     threshold: float = 0.5,
     min_delta: float = 0.0,
 ) -> TrendReport:
-    """Build the trend gate over recorded history.
+    """``repro runs trend``: the trend gate over the ``runs`` table.
 
     ``metric`` is ``wall_s`` (default), any bench-counter name
-    (``mpc.rounds``), or any deterministic flat-metric key.  ``window``
-    is the number of pre-latest runs averaged into the baseline;
-    ``threshold`` the relative slowdown that fails the gate;
-    ``min_delta`` an absolute increase below which the gate never
-    fires (noise immunity for sub-second runs).
+    (``mpc.rounds``), or any deterministic flat-metric key.  ``window``,
+    ``threshold`` and ``min_delta`` are :func:`~repro.obs.trendstats.trend_gate`'s.
+    Flaky verdict groups fail the report too.
     """
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
-    if threshold < 0:
-        raise ValueError(f"threshold must be >= 0, got {threshold}")
-    report = TrendReport(
-        metric=metric, window=window, threshold=threshold, min_delta=min_delta
-    )
     ids = (
         [experiment_id] if experiment_id is not None
         else registry.experiment_ids()
     )
     all_records: list[RunRecord] = []
+    series: list[TrendSeries] = []
     for eid in ids:
         records = registry.runs(eid, newest_first=False)
         all_records.extend(records)
         run_ids, values = metric_series(records, metric)
-        if not values:
+        if values:
+            series.append(TrendSeries(eid, run_ids, values))
+    return trend_gate(
+        series,
+        source="runs",
+        metric=metric,
+        window=window,
+        threshold=threshold,
+        min_delta=min_delta,
+        flaky=_find_flaky(all_records),
+    )
+
+
+def bench_trend_report(
+    registry: RunRegistry,
+    *,
+    experiments: Sequence[str] | None = None,
+    window: int = 8,
+    threshold: float = 0.5,
+    min_delta: float = 0.005,
+) -> TrendReport:
+    """``repro bench trend``: the same gate over ``bench_results`` rows.
+
+    Each experiment's best-of-k ``wall_s`` in recording order is one
+    series; ``experiments`` restricts which.  Bench rows never join a
+    ``runs`` series: they are untraced best-of-k timings, runs rows are
+    single-shot traced runs.
+    """
+    grouped: dict[str, TrendSeries] = {}
+    for row in registry.bench_results(newest_first=False):
+        if row.wall_s is None:
             continue
-        series = TrendSeries(
-            experiment_id=eid,
-            metric=metric,
-            run_ids=run_ids,
-            values=values,
-            window=window,
-            threshold=threshold,
-            min_delta=min_delta,
-        )
-        _detect_regression(series)
-        report.series.append(series)
-    report.flaky = _find_flaky(all_records)
-    return report
+        if experiments and row.experiment_id not in experiments:
+            continue
+        s = grouped.setdefault(row.experiment_id, TrendSeries(row.experiment_id))
+        s.ids.append(row.bench_id or 0)
+        s.values.append(row.wall_s)
+    return trend_gate(
+        [grouped[eid] for eid in sorted(grouped)],
+        source="bench",
+        metric="wall_s",
+        window=window,
+        threshold=threshold,
+        min_delta=min_delta,
+    )
 
 
 # ---------------------------------------------------------------------------

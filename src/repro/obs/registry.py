@@ -51,8 +51,8 @@ advisory sidecar, ``bench_results`` rows are the opposite -- wall-clock
 *is* the payload (warmup + best-of-k timing), stamped with the
 environment fingerprint (git SHA, python, CPU model/cores, jobs)
 that makes cross-machine comparisons honest.  Bench rows never
-feed deterministic fingerprints; ``repro bench trend`` reads them for
-the wall-clock changepoint gate.
+feed deterministic fingerprints; they are the one bench history, which
+``repro bench trend`` gates (:func:`repro.obs.history.bench_trend_report`).
 """
 
 from __future__ import annotations
@@ -289,7 +289,7 @@ class BenchResult:
     """One ``bench_results`` row: a wall-clock measurement with context.
 
     ``wall_s`` is the **best-of-k** repeat (the robust point estimate
-    the changepoint gate trends), ``mean_s`` the mean of the same
+    the trend gate trends), ``mean_s`` the mean of the same
     repeats (spread diagnostic), ``rss_peak_kb`` the process RSS
     high-water mark after the bench (advisory -- see
     :mod:`repro.perfwatch.budgets`).  ``fingerprint`` is the
@@ -343,12 +343,18 @@ class RunRegistry:
     same file are safe (SQLite serializes writers).
     """
 
-    def __init__(self, path: str) -> None:
+    def __init__(self, path: str, *, create: bool = True) -> None:
         self.path = path
-        parent = os.path.dirname(path)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-        self._conn = sqlite3.connect(path, timeout=30.0)
+        target = path
+        if create:
+            parent = os.path.dirname(path)
+            if parent:
+                os.makedirs(parent, exist_ok=True)
+        elif not os.path.exists(path):
+            # A reader of a missing file sees an empty registry, and the
+            # file is not created.
+            target = ":memory:"
+        self._conn = sqlite3.connect(target, timeout=30.0)
         self._conn.row_factory = sqlite3.Row
         self._conn.executescript(_SCHEMA)
         version = self._conn.execute("PRAGMA user_version").fetchone()[0]
@@ -379,9 +385,16 @@ class RunRegistry:
             )
 
     @classmethod
-    def open(cls, path: str | None = None) -> "RunRegistry":
-        """Open ``path``, or the default (env var / home) location."""
-        return cls(os.path.expanduser(path) if path else default_registry_path())
+    def open(cls, path: str | None = None, *, create: bool = True) -> "RunRegistry":
+        """Open ``path``, or the default (env var / home) location.
+
+        ``create=False`` is the read-only open of the query commands: a
+        missing file reads as an empty registry and is never created.
+        """
+        return cls(
+            os.path.expanduser(path) if path else default_registry_path(),
+            create=create,
+        )
 
     def close(self) -> None:
         self._conn.close()
@@ -584,7 +597,7 @@ class RunRegistry:
         newest_first: bool = True,
     ) -> list[BenchResult]:
         """Bench rows, optionally filtered; chronological order feeds
-        the changepoint gate (``newest_first=False``).
+        the trend gate (``newest_first=False``).
 
         Rows that older builds recorded under a second execution backend
         (``backend`` column other than ``'python'``) are never returned,

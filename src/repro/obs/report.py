@@ -676,37 +676,35 @@ def write_html_report(records, path: str, *, title: str | None = None) -> int:
 
 
 def render_history_html(report) -> str:
-    """``repro runs trend -o trend.html``: registry history as HTML.
+    """``repro runs trend --html trend.html``: registry history as HTML.
 
-    ``report`` is a :class:`~repro.obs.history.TrendReport`; each
+    ``report`` is a :class:`~repro.obs.trendstats.TrendReport`; each
     experiment's series becomes an inline-SVG sparkline (the same
-    renderer the trace report uses) with the rolling-window verdict
+    renderer the trace report uses) with the trend gate's verdict
     alongside.  Self-contained like the trace report.
     """
     rows = []
     for series in report.series:
         if series.latest is None:
             verdict = (
-                f"<span class='meta'>{series.n} run(s); gate needs "
+                f"<span class='meta'>{series.n} point(s); gate needs "
                 "&ge; 2</span>"
             )
-        elif series.regressed:
-            verdict = (
-                f"<span class='violation'>REGRESSION: latest "
-                f"{series.latest:g} vs window mean {series.baseline:g} "
-                f"({series.ratio:.2f}x)</span>"
-            )
         else:
+            detail = (
+                f"latest {series.latest:g} vs window median "
+                f"{series.baseline:g} ({series.ratio:.2f}x)"
+            )
             verdict = (
-                f"<span class='ok'>ok: latest {series.latest:g} vs "
-                f"window mean {series.baseline:g} "
-                f"({series.ratio:.2f}x)</span>"
+                f"<span class='violation'>REGRESSION ({series.kind}): "
+                f"{detail}</span>" if series.regressed
+                else f"<span class='ok'>ok: {detail}</span>"
             )
         rows.append(
             f"<div class='sparkrow'>{_sparkline(series.values)}"
             f"<strong>{_esc(series.experiment_id)}</strong> "
-            f"<span class='meta'>({series.n} runs, runs "
-            f"#{series.run_ids[0]}–#{series.run_ids[-1]})</span> "
+            f"<span class='meta'>({series.n} points, rows "
+            f"#{series.ids[0]}–#{series.ids[-1]})</span> "
             f"{verdict}</div>"
         )
     flaky = []
@@ -724,13 +722,14 @@ def render_history_html(report) -> str:
         "<p class='violation'>gate: FAIL</p>" if report.failed
         else "<p class='ok'>gate: ok</p>"
     )
-    title = f"run history — {_esc(report.metric)}"
+    title = f"{_esc(report.source)} history — {_esc(report.metric)}"
     parts = [
         "<!doctype html><html lang='en'><head><meta charset='utf-8'>",
         f"<title>{title}</title><style>{_CSS}</style></head><body>",
         f"<h1>{title}</h1>",
         f"<p class='meta'>rolling window {report.window}, threshold "
-        f"{report.threshold:.0%}; latest run vs window mean</p>",
+        f"{report.threshold:.0%}, min-delta {report.min_delta:g}; latest "
+        "value vs window median</p>",
         status,
         "<h2>Per-experiment history</h2>",
         *(rows or ["<p class='meta'>no runs recorded</p>"]),

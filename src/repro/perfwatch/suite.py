@@ -4,17 +4,14 @@ The ``benchmarks/`` tree holds one ad-hoc pytest harness per
 experiment; this module is the unified runner the CLI and CI drive
 instead: a curated tier of experiments, each measured with **warmup +
 best-of-k** repeats, stamped with an **environment fingerprint**, and
-emitted three ways --
+emitted two ways --
 
-* a standardized ``BENCH_<id>.json`` payload per experiment (the same
+* one row per experiment in the run registry's ``bench_results`` table
+  (schema v3), the one bench history ``repro bench trend`` gates on;
+* a standardized ``BENCH_<id>.json`` export per experiment (the same
   shape :func:`repro.obs.baseline.load_bench_dir` ingests, so the
   existing ``bench-compare`` counter gate reads suite output
-  unchanged), finally populating the ``REPRO_BENCH_JSON`` trajectory;
-* one row per experiment in the run registry's ``bench_results`` table
-  (schema v3), the durable history ``repro bench trend`` gates on;
-* optionally one appended row per experiment in the committed
-  ``benchmarks/bench_history.json`` ledger
-  (:func:`repro.perfwatch.changepoint.append_bench_history`).
+  unchanged).
 
 Timing methodology: the warmup runs are discarded (they pay import,
 allocation-pool, and branch-predictor costs); each timed repeat runs
@@ -53,12 +50,12 @@ __all__ = [
 ]
 
 #: The quick tier: experiments whose quick-scale run finishes in a second
-#: or two, spanning every substrate (parameter tables, MPC protocols, the
-#: word-RAM interpreter, encoders, Monte-Carlo trials), plus E-GUESS, the
-#: experiment that dominates ``run-all`` wall time.
+#: or two, spanning the heavier substrates (MPC protocols, the word-RAM
+#: interpreter, encoders, Monte-Carlo trials), plus E-GUESS, the
+#: experiment that dominates ``run-all`` wall time.  Closed-form tables
+#: (T1, E-BOUND) take ~0.1 ms, which only measures timer noise; they
+#: stay in ``full``.
 _QUICK = (
-    "T1",
-    "E-BOUND",
     "E-RAM",
     "E-ENC-A",
     "E-SIMLINE",
@@ -229,9 +226,8 @@ def run_bench(
         if fingerprint is not None
         else environment_fingerprint(jobs=jobs)
     )
-    # Stamp identity here, at measurement time, so the registry row and
-    # the history-ledger row of one measurement are recognizably the
-    # same point (bench trend dedups on it when merging sources).
+    # Stamp time and SHA at measurement, not at recording, so the
+    # registry row dates the measurement itself.
     result_row = BenchResult(
         experiment_id=experiment_id,
         suite=suite,

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.obs import history  # its bench_* reader would collect as a test
 from repro.obs.history import (
     ascii_sparkline,
     compare_runs,
@@ -9,7 +10,7 @@ from repro.obs.history import (
     render_runs_table,
     trend_report,
 )
-from repro.obs.registry import RunRecord, RunRegistry
+from repro.obs.registry import BenchResult, RunRecord, RunRegistry
 
 
 def _record(experiment_id="E-X", *, verdict="pass", wall_s=1.0, seed=7,
@@ -154,6 +155,23 @@ class TestTrend:
             trend_report(registry, window=0)
         with pytest.raises(ValueError):
             trend_report(registry, threshold=-0.1)
+
+
+class TestBenchTrend:
+    def test_bench_rows_chronological(self, registry):
+        for i, wall in enumerate((0.1, 0.2, 0.3)):
+            registry.record_bench(BenchResult(
+                experiment_id="T1", wall_s=wall,
+                ts_utc=f"2026-08-09T00:00:0{i}+00:00",
+            ))
+        registry.record_bench(BenchResult(experiment_id="E-LINE", wall_s=0.5))
+        registry.record(_record("T1", wall_s=9.0))  # a runs row: never read
+        report = history.bench_trend_report(registry, experiments=["T1"])
+        (series,) = report.series
+        assert series.values == [0.1, 0.2, 0.3]
+        assert series.ids == [1, 2, 3]
+        assert report.source == "bench"
+        assert "bench trend" in report.render()
 
 
 class TestRunsTable:

@@ -95,6 +95,16 @@ class TestRunRegistry:
         with RunRegistry(path) as reg:
             assert reg.count() == 1
 
+    def test_read_open_never_creates_the_file(self, tmp_path):
+        path = tmp_path / "sub" / "runs.db"
+        with RunRegistry.open(str(path), create=False) as reg:
+            assert reg.count() == 0 and reg.bench_results() == []
+        assert not path.parent.exists()
+        with RunRegistry.open(str(path)) as reg:
+            reg.record(_record())
+        with RunRegistry.open(str(path), create=False) as reg:
+            assert reg.count() == 1
+
     def test_gc_keep_last_per_experiment(self, tmp_path):
         with RunRegistry(str(tmp_path / "runs.db")) as reg:
             for _ in range(4):

@@ -6,13 +6,14 @@ import os
 import pytest
 
 from repro.cli import main
-from repro.obs.registry import RunRegistry
+from repro.obs.registry import BenchResult, RunRegistry
 
 
 def _bench_run(tmp_path, *extra, experiment="T1"):
-    """A minimal, hermetic `repro bench run` argv."""
+    """A minimal, hermetic `repro bench run` argv (T1 is in `full` only)."""
     return [
         "bench", "run",
+        "--suite", "full",
         "-e", experiment,
         "--warmup", "0",
         "--repeats", "1",
@@ -48,14 +49,6 @@ class TestBenchRunCli:
         assert main(_bench_run(tmp_path, "--no-record")) == 0
         assert not (tmp_path / "runs.db").exists()
 
-    def test_history_ledger_appends(self, tmp_path, capsys):
-        hist = str(tmp_path / "hist.json")
-        assert main(_bench_run(tmp_path, "--history", hist)) == 0
-        assert main(_bench_run(tmp_path, "--history", hist)) == 0
-        rows = json.loads((tmp_path / "hist.json").read_text())["rows"]
-        assert len(rows) == 2
-        assert "history" in capsys.readouterr().err
-
     def test_env_var_names_out_dir(self, tmp_path, monkeypatch):
         out = tmp_path / "from-env"
         monkeypatch.setenv("REPRO_BENCH_JSON", str(out))
@@ -67,7 +60,7 @@ class TestBenchRunCli:
     def test_json_summary_schema(self, tmp_path, capsys):
         assert main(_bench_run(tmp_path, "--json")) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["suite"] == "quick"
+        assert payload["suite"] == "full"
         (result,) = payload["results"]
         assert result["experiment_id"] == "T1"
         assert payload["budget_violations"] == []
@@ -90,72 +83,57 @@ class TestBenchRunCli:
 
 
 class TestBenchTrendCli:
-    def _history(self, tmp_path, values, experiment="T1"):
-        path = tmp_path / "hist.json"
-        rows = [
-            {"experiment_id": experiment, "wall_s": v, "ts_utc": f"t{i}"}
-            for i, v in enumerate(values)
-        ]
-        path.write_text(json.dumps({"version": 1, "rows": rows}))
-        return str(path)
+    def _seed(self, tmp_path, values, experiment="T1"):
+        """A registry holding one bench_results row per value."""
+        path = str(tmp_path / "runs.db")
+        with RunRegistry(path) as registry:
+            for value in values:
+                registry.record_bench(
+                    BenchResult(experiment_id=experiment, wall_s=value)
+                )
+        return path
 
     def test_clean_history_exits_0(self, tmp_path, capsys):
-        hist = self._history(tmp_path, [0.10, 0.11, 0.10, 0.10])
-        assert main([
-            "bench", "trend", "--source", "history", "--history", hist,
-        ]) == 0
+        db = self._seed(tmp_path, [0.10, 0.11, 0.10, 0.10])
+        assert main(["bench", "trend", "--registry", db]) == 0
         out = capsys.readouterr().out
         assert "T1" in out and "ok" in out
 
     def test_injected_regression_exits_1(self, tmp_path, capsys):
-        hist = self._history(tmp_path, [0.10, 0.11, 0.10, 10.0])
-        assert main([
-            "bench", "trend", "--source", "history", "--history", hist,
-        ]) == 1
-        assert "REGRESSED" in capsys.readouterr().out
+        db = self._seed(tmp_path, [0.10, 0.11, 0.10, 10.0])
+        assert main(["bench", "trend", "--registry", db]) == 1
+        assert "REGRESSION" in capsys.readouterr().out
 
     def test_registry_source(self, tmp_path, capsys):
+        """Rows `bench run` records are the history `bench trend` reads."""
         assert main(_bench_run(tmp_path)) == 0
         capsys.readouterr()
         assert main([
-            "bench", "trend", "--source", "registry",
-            "--registry", str(tmp_path / "runs.db"),
+            "bench", "trend", "--registry", str(tmp_path / "runs.db"),
         ]) == 0
         assert "T1" in capsys.readouterr().out
 
     def test_missing_registry_not_created(self, tmp_path, capsys):
-        hist = self._history(tmp_path, [0.1, 0.1, 0.1])
         db = tmp_path / "never-made.db"
-        assert main([
-            "bench", "trend", "--history", hist, "--registry", str(db),
-        ]) == 0
+        assert main(["bench", "trend", "--registry", str(db)]) == 0
         assert not db.exists()
+        assert "no runs recorded" in capsys.readouterr().out
 
     def test_experiment_filter(self, tmp_path, capsys):
-        hist = self._history(tmp_path, [0.10, 0.11, 0.10, 10.0])
+        db = self._seed(tmp_path, [0.10, 0.11, 0.10, 10.0])
         assert main([
-            "bench", "trend", "--source", "history", "--history", hist,
-            "-e", "E-OTHER",
+            "bench", "trend", "--registry", db, "-e", "E-OTHER",
         ]) == 0
 
     def test_json_report(self, tmp_path, capsys):
-        hist = self._history(tmp_path, [0.10, 0.11, 0.10, 10.0])
-        assert main([
-            "bench", "trend", "--source", "history", "--history", hist,
-            "--json",
-        ]) == 1
+        db = self._seed(tmp_path, [0.10, 0.11, 0.10, 10.0])
+        assert main(["bench", "trend", "--registry", db, "--json"]) == 1
         payload = json.loads(capsys.readouterr().out)
-        assert payload["regressed"] is True
+        assert payload["failed"] is True
+        assert payload["source"] == "bench"
         (series,) = payload["series"]
         assert series["experiment_id"] == "T1"
-
-    def test_malformed_history_exits_2(self, tmp_path, capsys):
-        path = tmp_path / "hist.json"
-        path.write_text('"nope"')
-        assert main([
-            "bench", "trend", "--source", "history",
-            "--history", str(path),
-        ]) == 2
+        assert series["kind"] == "spike"
 
 
 class TestProfileCompareCli:

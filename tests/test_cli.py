@@ -544,6 +544,14 @@ class TestRunRecording:
         assert a.counters == b.counters
         assert a.seed == b.seed
 
+    def test_serial_and_parallel_runs_compare_clean(self, tmp_path, capsys):
+        db = str(tmp_path / "det.db")
+        assert main(["run", "E-ENC-A", "--registry", db]) == 0
+        assert main(["run", "E-ENC-A", "--registry", db, "--jobs", "2"]) == 0
+        capsys.readouterr()
+        assert main(["runs", "compare", "1", "2", "--registry", db]) == 0
+        assert "identical" in capsys.readouterr().out
+
 
 class TestRunAllRecording:
     def test_json_includes_sha_and_run_ids(self, tmp_path, capsys,
@@ -672,6 +680,45 @@ class TestRunsCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["failed"] is False
         assert payload["regressions"] == []
+
+    def test_trend_json_is_strict_over_zero_baseline(self, tmp_path, capsys):
+        """A zero baseline has an infinite ratio; the JSON says null."""
+        import json
+
+        from repro.obs import RunRecord, RunRegistry
+
+        db = str(tmp_path / "runs.db")
+        with RunRegistry(db) as reg:
+            for queries in (0, 0, 5):
+                reg.record(RunRecord(
+                    experiment_id="E-X", scale="quick", verdict="pass",
+                    seed=7, counters={"oracle.queries": queries},
+                ))
+        args = ["runs", "trend", "--registry", db,
+                "--metric", "oracle.queries", "--json"]
+        assert main(args) == 1
+
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        payload = json.loads(capsys.readouterr().out, parse_constant=reject)
+        (series,) = payload["series"]
+        assert series["regressed"] is True
+        assert series["ratio"] is None
+
+    @pytest.mark.parametrize("argv, code, stream, text", [
+        (["runs", "list"], 0, "out", "registry is empty"),
+        (["runs", "show", "1"], 2, "err", "no run 1"),
+        (["runs", "compare", "1", "2"], 2, "err", "no run 1"),
+        (["runs", "trend"], 0, "out", "no runs recorded"),
+        (["bench", "trend"], 0, "out", "no runs recorded"),
+    ])
+    def test_read_commands_never_create_registry(self, tmp_path, capsys,
+                                                 argv, code, stream, text):
+        db = tmp_path / "typo.db"
+        assert main([*argv, "--registry", str(db)]) == code
+        assert text in getattr(capsys.readouterr(), stream)
+        assert not db.exists()
 
     def test_gc_requires_arguments(self, tmp_path):
         db = self._seed(tmp_path)
